@@ -57,7 +57,13 @@ class ClusterResult:
 
 @dataclass(frozen=True)
 class DispatcherStats:
-    """Snapshot of the dispatcher's lifetime counters."""
+    """Snapshot of the dispatcher's lifetime counters.
+
+    Worker deaths (and ``live_workers``) are counted by health passes
+    (:meth:`Dispatcher.check_workers`, run by the monitor thread), not at
+    the moment a replica dies, so the snapshot is only eventually
+    consistent: it can lag a death until the next pass.
+    """
 
     submitted: int
     completed: int

@@ -124,34 +124,36 @@ class JpegCodec:
         block_top = aligned.top // blk.BLOCK_SIZE
         blocks_w = (aligned.width + blk.BLOCK_SIZE - 1) // blk.BLOCK_SIZE
         blocks_h = (aligned.height + blk.BLOCK_SIZE - 1) // blk.BLOCK_SIZE
-        out = np.zeros(
-            (blocks_h * blk.BLOCK_SIZE, blocks_w * blk.BLOCK_SIZE, encoded.channels),
-            dtype=np.float64,
-        )
         blocks_per_channel = encoded.blocks_x * encoded.blocks_y
-        for channel_index in range(encoded.channels):
-            for local_by in range(blocks_h):
-                for local_bx in range(blocks_w):
-                    by = block_top + local_by
-                    bx = block_left + local_bx
-                    block_index = (
-                        channel_index * blocks_per_channel + by * encoded.blocks_x + bx
-                    )
-                    payload = entropy.unpack_block(encoded.data, block_index)
-                    flat = entropy.decode_coefficients(
-                        payload, blk.BLOCK_SIZE * blk.BLOCK_SIZE
-                    )
-                    quantized = blk.zigzag_unscan(flat)
-                    coeffs = blk.dequantize_blocks(quantized, quant_table)
-                    pixel_block = blk.inverse_dct_blocks(coeffs) + 128.0
-                    top = local_by * blk.BLOCK_SIZE
-                    left = local_bx * blk.BLOCK_SIZE
-                    out[top:top + blk.BLOCK_SIZE, left:left + blk.BLOCK_SIZE,
-                        channel_index] = pixel_block
+        grid = (
+            np.arange(encoded.channels)[:, None, None] * blocks_per_channel
+            + (block_top + np.arange(blocks_h))[None, :, None] * encoded.blocks_x
+            + (block_left + np.arange(blocks_w))[None, None, :]
+        )
+        pixel_blocks = np.empty(
+            (grid.size, blk.BLOCK_SIZE, blk.BLOCK_SIZE), dtype=np.float64
+        )
+        start = 0
+        for flat in entropy.decode_block_chunks(encoded.data, grid.ravel()):
+            coeffs = blk.dequantize_blocks(blk.zigzag_unscan(flat), quant_table)
+            pixel_blocks[start:start + len(flat)] = (
+                blk.inverse_dct_blocks(coeffs) + 128.0
+            )
+            start += len(flat)
+        np.round(pixel_blocks, out=pixel_blocks)
+        levels = np.clip(pixel_blocks, 0, 255, out=pixel_blocks).astype(np.uint8)
+        # (channel, by, bx, row, col) -> (by, row, bx, col, channel)
+        levels = (
+            levels.reshape(encoded.channels, blocks_h, blocks_w,
+                           blk.BLOCK_SIZE, blk.BLOCK_SIZE)
+            .transpose(1, 3, 2, 4, 0)
+            .reshape(blocks_h * blk.BLOCK_SIZE, blocks_w * blk.BLOCK_SIZE,
+                     encoded.channels)
+        )
         # Clip to the frame: edge blocks may extend past the true image size.
         height = min(aligned.height, encoded.height - aligned.top)
         width = min(aligned.width, encoded.width - aligned.left)
-        pixels = np.clip(np.round(out[:height, :width]), 0, 255).astype(np.uint8)
+        pixels = np.ascontiguousarray(levels[:height, :width])
         return Image(pixels=pixels)
 
     def decoded_block_fraction(self, encoded: JpegEncoded,

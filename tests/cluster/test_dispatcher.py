@@ -188,6 +188,9 @@ class TestFailover:
                        for i in range(150)]
             dispatcher.worker("worker-1").kill()
             results = [future.result(timeout=15.0) for future in futures]
+            # Deaths are counted by health passes, and every future can
+            # resolve before the monitor's next one: run a pass here.
+            dispatcher.check_workers()
             stats = dispatcher.stats()
         assert len(results) == 150
         for i, result in enumerate(results):

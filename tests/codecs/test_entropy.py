@@ -67,6 +67,20 @@ class TestBlockPacking:
         with pytest.raises(CorruptBitstreamError):
             entropy.unpack_block(packed, 3)
 
+    def test_truncated_offset_table_rejected(self):
+        packed = entropy.pack_blocks(
+            [entropy.encode_coefficients(np.zeros(64, dtype=np.int16))] * 4
+        )
+        with pytest.raises(CorruptBitstreamError, match="offset table"):
+            entropy.unpack_block(packed[:10], 3)
+
+    def test_offset_past_end_of_data_rejected(self):
+        packed = entropy.pack_blocks(
+            [entropy.encode_coefficients(np.zeros(64, dtype=np.int16))] * 4
+        )
+        with pytest.raises(CorruptBitstreamError, match="outside"):
+            entropy.unpack_block(packed[:-2], 3)
+
     def test_bad_magic_rejected(self):
         with pytest.raises(CorruptBitstreamError):
             entropy.block_count(b"NOPE" + b"\x00" * 16)
@@ -75,3 +89,4 @@ class TestBlockPacking:
         payloads = [entropy.encode_coefficients(np.zeros(64, dtype=np.int16))] * 3
         packed = entropy.pack_blocks(payloads)
         assert entropy.payload_size(packed) == sum(len(p) for p in payloads)
+

@@ -1,12 +1,25 @@
 """Tests for the JPEG-like codec and macroblock ROI decoding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.codecs.image import Image
 from repro.codecs.jpeg import JpegCodec
 from repro.codecs.roi import RegionOfInterest
+from repro.datasets.synthetic import SyntheticImageGenerator
 from repro.errors import CodecError
+
+
+def _odd_size_image() -> Image:
+    return Image(pixels=np.random.default_rng(0).integers(
+        0, 255, size=(13, 21, 3)).astype(np.uint8))
+
+
+def _digest(image: Image) -> tuple[tuple[int, ...], str]:
+    pixels = np.ascontiguousarray(image.pixels)
+    return pixels.shape, hashlib.sha256(pixels.tobytes()).hexdigest()
 
 
 class TestEncodeDecode:
@@ -45,8 +58,7 @@ class TestEncodeDecode:
         assert encoded.num_blocks == 8 * 6 * 3
 
     def test_non_multiple_of_eight_dimensions(self):
-        image = Image(pixels=np.random.default_rng(0).integers(
-            0, 255, size=(13, 21, 3)).astype(np.uint8))
+        image = _odd_size_image()
         codec = JpegCodec(quality=90)
         decoded = codec.decode(codec.encode(image))
         assert decoded.pixels.shape == image.pixels.shape
@@ -83,3 +95,45 @@ class TestRoiDecoding:
         encoded = codec.encode(small_image)
         roi = RegionOfInterest(0, 0, small_image.width, small_image.height)
         assert codec.decoded_block_fraction(encoded, roi) == pytest.approx(1.0)
+
+
+class TestGoldenDecode:
+    """Decoded pixels pinned to the scalar per-block decoder's output.
+
+    The digests were computed before decode was batched.  A change to any
+    of them is a decoder bug; they are never re-pinned.
+    """
+
+    @pytest.fixture(scope="class")
+    def encoded_375(self):
+        image = SyntheticImageGenerator(
+            num_classes=4, image_size=375, seed=7
+        ).generate_image(1, 3)
+        return JpegCodec(quality=95).encode(image)
+
+    def test_full_decode(self, encoded_375):
+        assert _digest(JpegCodec(quality=95).decode(encoded_375)) == (
+            (375, 375, 3),
+            "c24bfb8df7427beb77b965e41bf20932c82ef35184ada555a9b75ef7a0661cc3",
+        )
+
+    @pytest.mark.parametrize("roi, expected", [
+        (RegionOfInterest(17, 33, 100, 71), (
+            (72, 104, 3),
+            "aab28c0e1460a09b9a8bcfedd65661919d41a6c009fb32732a0f4e4366d5dfa5",
+        )),
+        (RegionOfInterest(301, 290, 74, 85), (
+            (87, 79, 3),
+            "11edde76ccf0a939d9ec38f95d3583157e9943703247f83143e1647eb205f3b7",
+        )),
+    ])
+    def test_off_grid_roi_decode(self, encoded_375, roi, expected):
+        decoded = JpegCodec(quality=95).decode_roi(encoded_375, roi)
+        assert _digest(decoded) == expected
+
+    def test_odd_size_decode(self):
+        codec = JpegCodec(quality=90)
+        assert _digest(codec.decode(codec.encode(_odd_size_image()))) == (
+            (13, 21, 3),
+            "35f59cc84ebf268ca412a1356e15eef836b06f9e953df977554bfb7a21268616",
+        )
