@@ -36,8 +36,8 @@ from a single :class:`~repro.chaos.scenario.Scenario`:
    shared-memory segments once the dispatcher closes;
 9. **multi-tenant serving** (``scenario.tenant_serving``) -- the
    scenario's tenants through a DRR-scheduled
-   :class:`~repro.serving.server.SmolServer` with the ``tenant.enqueue``
-   / ``tenant.batch`` seams armed: no priority class may starve under
+   :class:`~repro.serving.server.SmolServer` with the ``serving.admit``
+   / ``serving.batch`` seams armed: no priority class may starve under
    injected stalls and raises, answers stay exactly-once and
    bit-identical, and the span tree stays connected.
 
@@ -243,7 +243,12 @@ class ChaosRunner:
             report.violations += self._serving_pass(scenario, injector,
                                                     report)
         if scenario.tenant_serving:
-            report.violations += self._tenant_pass(scenario, injector,
+            # Both serving passes hit the scheduler's seams; a fresh
+            # injector keeps the serving pass from consuming the tenant
+            # pass's planned hits.
+            tenant_injector = FaultInjector(scenario.faults)
+            injectors.append(tenant_injector)
+            report.violations += self._tenant_pass(scenario, tenant_injector,
                                                    report)
         report.violations += self._store_pass(scenario, injector)
         report.violations += _dag_pass(scenario)
@@ -442,9 +447,9 @@ class ChaosRunner:
         ``scenario.tenant_classes`` assigns it (quotas unlimited and
         class deadlines off, so every divergence is the scheduler's
         fault, not throttling or downgrades).  The armed seams are the
-        DRR scheduler's own: ``tenant.enqueue`` (a raise is a clean shed
-        the pass resubmits past) and ``tenant.batch`` (absorbed by the
-        serving loop before any dequeue).  Invariants: *no starvation*
+        scheduler's: ``serving.admit`` (a raise is a clean shed the pass
+        resubmits past) and ``serving.batch`` (absorbed by the serving
+        loop before any dequeue).  Invariants: *no starvation*
         (every class with offered requests fully resolves, even with
         stalls and raises wedged into its queues -- the
         schedule-independent form of exactly-once), bit-identical

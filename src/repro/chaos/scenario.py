@@ -38,7 +38,7 @@ _STALL_SITES = ("queue.put", "queue.get", "worker.execute",
 _SERVING_SITES = ("serving.admit", "serving.batch", "fuse.execute")
 
 #: Sites the multi-tenant serving pass hits (armed only when it runs).
-_TENANT_SITES = ("tenant.enqueue", "tenant.batch")
+_TENANT_SITES = ("serving.admit", "serving.batch")
 
 #: Tenant names the arrival mix draws from.
 _TENANTS = ("tenant-a", "tenant-b", "tenant-c")
@@ -116,7 +116,7 @@ class Scenario:
         When ``tenant_serving`` is True the run includes the multi-tenant
         serving pass: the scenario's tenants submit through a DRR-scheduled
         :class:`~repro.serving.server.SmolServer` with the
-        ``tenant.enqueue`` / ``tenant.batch`` seams armed, checked for
+        ``serving.admit`` / ``serving.batch`` seams armed, checked for
         exactly-once bit-identical answers and no starved class.
         ``tenant_classes`` maps each tenant (by position) to a priority
         class index (0=interactive, 1=standard, 2=batch).
@@ -441,8 +441,8 @@ class ScenarioGen:
 
     def _tenant_faults(self, rng: random.Random,
                        scenario: Scenario) -> tuple[Fault, ...]:
-        # DRR-scheduler seams: a raise at tenant.enqueue sheds one submit
-        # (the pass resubmits), a raise at tenant.batch aborts one batching
+        # Scheduler seams: a raise at serving.admit sheds one submit
+        # (the pass resubmits), a raise at serving.batch aborts one batching
         # attempt before any dequeue (the serving loop retries), and a
         # stall at either site delays a class's progress -- exactly the
         # wedge the no-starvation invariant must survive.

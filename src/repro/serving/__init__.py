@@ -3,25 +3,27 @@
 Turns the offline batch engine into an online inference service:
 
 * :mod:`repro.serving.request` -- typed requests/responses with deadlines.
-* :mod:`repro.serving.queue` -- admission-controlled bounded request queue.
-* :mod:`repro.serving.batcher` -- adaptive micro-batching policies.
+* :mod:`repro.serving.batcher` -- micro-batching policies and counters.
 * :mod:`repro.serving.session` -- plan-aware warmed engine sessions with
   hot-swap when the planner changes its mind.
 * :mod:`repro.serving.cache` -- LRU prediction cache keyed on
   (image, format, plan).
 * :mod:`repro.serving.server` -- the :class:`SmolServer` facade
-  (``submit() -> Future``, ``stats()``, ``close()``).
+  (``submit() -> Future``, ``stats()``, ``close()``); every request is
+  admitted and micro-batched by one
+  :class:`~repro.tenant.scheduler.DrrScheduler`.
 * :mod:`repro.serving.loadgen` -- open-loop Poisson/burst/diurnal/flash
   load generation (single- and multi-tenant mixes) with p50/p95/p99
   latency reporting.
 * :mod:`repro.serving.metrics` -- latency percentile accounting.
 
-Multi-tenant serving (quotas, weighted-fair scheduling, deadline-aware
-plan selection) layers on top via :mod:`repro.tenant`; pass a
+A single-tenant server schedules one class; multi-tenant serving
+(quotas, one weighted class per priority tier, deadline-aware plan
+selection) layers on top via :mod:`repro.tenant`; pass a
 :class:`~repro.tenant.spec.TenantConfig` as ``SmolServer(tenants=...)``.
 """
 
-from repro.serving.batcher import BatcherStats, BatchPolicy, MicroBatcher
+from repro.serving.batcher import BatcherStats, BatchPolicy
 from repro.serving.cache import CacheStats, LruCache, PredictionCache
 from repro.serving.loadgen import (
     ArrivalTrace,
@@ -36,7 +38,6 @@ from repro.serving.loadgen import (
     poisson_arrivals,
 )
 from repro.serving.metrics import LatencyRecorder, LatencySummary, percentile
-from repro.serving.queue import AdmissionQueue
 from repro.serving.request import InferenceRequest, InferenceResponse
 from repro.serving.server import ServerStats, SmolServer, TenantServingStats
 from repro.serving.session import (
@@ -51,7 +52,6 @@ from repro.serving.session import (
 )
 
 __all__ = [
-    "AdmissionQueue",
     "ArrivalTrace",
     "BatchPolicy",
     "BatchResult",
@@ -66,7 +66,6 @@ __all__ = [
     "LoadGenerator",
     "LoadReport",
     "LruCache",
-    "MicroBatcher",
     "MultiTenantLoadGenerator",
     "MultiTenantLoadReport",
     "PredictionCache",

@@ -1,28 +1,21 @@
-"""Adaptive micro-batching.
+"""Micro-batching policy and counters.
 
 The accelerator wants large batches; interactive traffic wants low latency.
-The micro-batcher mediates with the classic serving policy (Clipper, and the
-dynamic batching of production serving systems): wait for the first request,
-then keep draining the queue until either ``max_batch_size`` requests are in
-hand or ``max_wait_ms`` has elapsed since the batch opened.  Under heavy load
-batches fill instantly (throughput mode); under light load the wait bound
-caps the latency a lone request pays (latency mode).
+A :class:`BatchPolicy` states the classic serving compromise (Clipper, and
+the dynamic batching of production serving systems): wait for the first
+request, then keep taking queued requests until either ``max_batch_size``
+are in hand or ``max_wait_ms`` has elapsed since the batch opened.  Under
+heavy load batches fill instantly (throughput mode); under light load the
+wait bound caps the latency a lone request pays (latency mode).  The
+:class:`~repro.tenant.scheduler.DrrScheduler` forms the batches and
+reports them as :class:`BatcherStats`.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Generic, TypeVar
 
-from repro.chaos.faults import NULL_FAULTS
 from repro.errors import ServingError
-from repro.inference.mpmc import QueueClosed
-from repro.obs import NULL_OBS
-from repro.serving.queue import AdmissionQueue
-from repro.serving.request import monotonic
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -74,90 +67,3 @@ class BatcherStats:
     def mean_batch_size(self) -> float:
         """Average requests per formed batch."""
         return self.items / self.batches if self.batches else 0.0
-
-
-class MicroBatcher(Generic[T]):
-    """Drains an :class:`AdmissionQueue` into policy-shaped micro-batches.
-
-    ``faults`` is the chaos seam: the ``serving.batch`` site fires at the
-    top of each :meth:`next_batch` attempt, *before* the first dequeue --
-    an injected raise aborts the attempt with no request in hand (nothing
-    is lost; the serving loop retries), and a stall delays batch formation
-    the way a descheduled batcher thread would.
-    """
-
-    def __init__(self, queue: AdmissionQueue[T], policy: BatchPolicy,
-                 obs=NULL_OBS, faults=NULL_FAULTS) -> None:
-        self._faults = faults if faults is not None else NULL_FAULTS
-        self._queue = queue
-        self._policy = policy
-        self._stats = BatcherStats()
-        self._lock = threading.Lock()
-        self._batches_metric = obs.counter("serving_batches_total",
-                                           policy=policy.name)
-        self._size_metric = obs.histogram("serving_batch_size",
-                                          policy=policy.name)
-
-    @property
-    def policy(self) -> BatchPolicy:
-        """The active batching policy."""
-        return self._policy
-
-    def next_batch(self, poll_timeout: float = 0.1) -> list[T] | None:
-        """Form the next micro-batch.
-
-        Blocks (in ``poll_timeout`` slices) for the first request, then fills
-        until the policy's size cap or wait bound.  Returns None once the
-        queue is closed and fully drained.
-        """
-        self._faults.hit("serving.batch", batcher=self)
-        try:
-            first = self._queue.get(timeout=poll_timeout)
-        except QueueClosed:
-            return None
-        if first is None:
-            return []
-        batch = [first]
-        deadline = monotonic() + self._policy.max_wait_ms / 1000.0
-        filled = True
-        while len(batch) < self._policy.max_batch_size:
-            remaining = deadline - monotonic()
-            if remaining <= 0:
-                filled = False
-                break
-            try:
-                item = self._queue.get(timeout=remaining)
-            except QueueClosed:
-                break
-            if item is None:
-                filled = False
-                break
-            batch.append(item)
-        self._record(batch, filled and len(batch) == self._policy.max_batch_size)
-        return batch
-
-    def _record(self, batch: list[T], full: bool) -> None:
-        with self._lock:
-            self._stats.batches += 1
-            self._stats.items += len(batch)
-            if full:
-                self._stats.full_batches += 1
-            else:
-                self._stats.timeout_batches += 1
-            size = len(batch)
-            self._stats.size_histogram[size] = (
-                self._stats.size_histogram.get(size, 0) + 1
-            )
-        self._batches_metric.inc()
-        self._size_metric.observe(len(batch))
-
-    def stats(self) -> BatcherStats:
-        """Snapshot of the batcher counters."""
-        with self._lock:
-            return BatcherStats(
-                batches=self._stats.batches,
-                items=self._stats.items,
-                full_batches=self._stats.full_batches,
-                timeout_batches=self._stats.timeout_batches,
-                size_histogram=dict(self._stats.size_histogram),
-            )

@@ -2,13 +2,20 @@
 
 Requests enter through :meth:`SmolServer.submit`, which returns a
 :class:`concurrent.futures.Future` resolving to an
-:class:`~repro.serving.request.InferenceResponse`.  Internally a single
-serving thread drains the admission queue through the micro-batcher and
-executes each micro-batch on the live plan session:
+:class:`~repro.serving.request.InferenceResponse`.  Every request is
+admitted into one :class:`~repro.tenant.scheduler.DrrScheduler` (bounded
+per-class queues plus a deficit-round-robin micro-batcher); a single
+serving thread drains it and executes each micro-batch on the live plan
+session:
 
-    submit() -> cache? -> AdmissionQueue -> MicroBatcher -> EngineSession
-                   |                                            |
-                hit: resolve immediately          resolve futures, fill cache
+    submit() -> cache? -> [quota] -> DrrScheduler -> EngineSession
+                   |                                       |
+                hit: resolve immediately     resolve futures, fill cache
+
+A single-tenant server schedules one class, ``"*"``, with no quota gate,
+which makes the scheduler a bounded FIFO queue with wait-bounded
+micro-batching; ``tenants=`` adds the quota gate and one weighted class
+per priority tier.
 
 Both functional sessions (real pixels, real numpy model) and simulated
 sessions (calibrated performance model) plug in unchanged, so the same load
@@ -37,14 +44,18 @@ from dataclasses import dataclass
 
 from repro.chaos.faults import NULL_FAULTS
 from repro.errors import ServingError
-from repro.inference.mpmc import QueueClosed
 from repro.obs import NULL_OBS
-from repro.serving.batcher import BatcherStats, BatchPolicy, MicroBatcher
+from repro.serving.batcher import BatcherStats, BatchPolicy
 from repro.serving.cache import CacheStats, PredictionCache
 from repro.serving.metrics import LatencyRecorder, LatencySummary
-from repro.serving.queue import AdmissionQueue
 from repro.serving.request import InferenceRequest, InferenceResponse, monotonic
 from repro.serving.session import EngineSession, SessionManager
+from repro.tenant.quota import QuotaGate
+from repro.tenant.scheduler import ClassBatch, DrrScheduler
+from repro.tenant.spec import ClassPolicy
+
+#: The one scheduling class of a single-tenant server.
+_SINGLE_CLASS = ClassPolicy("*", weight=1.0, rank=0)
 
 
 @dataclass(frozen=True)
@@ -53,17 +64,18 @@ class _Pending:
 
     ``span`` is the request's ``serving.request`` span when observability
     is enabled (None otherwise); it is finished at resolution time.
-    ``tenant`` / ``class_name`` are the multi-tenant accounting identity
-    (the resolved spec name, not the raw request tenant, so strangers
-    sharing the default spec share its books); ``gated`` marks requests
-    holding a quota in-flight slot that must be released exactly once.
+    ``class_name`` picks the scheduler queue (``"*"`` on single-tenant
+    servers).  ``tenant`` is the multi-tenant accounting identity (the
+    resolved spec name, not the raw request tenant, so strangers sharing
+    the default spec share its books); ``gated`` marks requests holding a
+    quota in-flight slot that must be released exactly once.
     """
 
     request: InferenceRequest
     future: Future
     span: object = None
     tenant: str = ""
-    class_name: str = ""
+    class_name: str = _SINGLE_CLASS.name
     gated: bool = False
 
 
@@ -157,7 +169,8 @@ class SmolServer:
     policy:
         Micro-batching policy; defaults to the latency preset.
     queue_capacity:
-        Bound on admitted-but-unbatched requests (backpressure depth).
+        Bound on admitted-but-unbatched requests per scheduling class
+        (backpressure depth).
     cache_capacity:
         Prediction cache entries; 0 disables caching.
     block_on_full:
@@ -204,19 +217,17 @@ class SmolServer:
         changes responses.
     faults:
         Chaos seam handle (:data:`~repro.chaos.faults.NULL_FAULTS` by
-        default), threaded into the admission queue (``serving.admit``)
-        and the micro-batcher (``serving.batch``); in multi-tenant mode
-        the DRR scheduler's seams (``tenant.enqueue`` / ``tenant.batch``)
-        replace them.
+        default), threaded into the scheduler's admission
+        (``serving.admit``) and batch-formation (``serving.batch``)
+        seams.
     tenants:
         Optional :class:`~repro.tenant.spec.TenantConfig`.  When set the
         server runs multi-tenant: every submit is charged against its
-        tenant's admission quota (:class:`~repro.tenant.quota.QuotaGate`),
-        routed to its priority class's queue, and micro-batched by
-        deficit round-robin (:class:`~repro.tenant.scheduler.DrrScheduler`
-        replaces the FIFO queue+batcher pair).  Requests without a
-        deadline inherit their class's default; ``queue_capacity``
-        becomes a per-class bound.
+        tenant's admission quota (:class:`~repro.tenant.quota.QuotaGate`)
+        and routed to its priority class's queue, and the scheduler
+        serves the classes by weighted deficit round-robin.  Requests
+        without a deadline inherit their class's default.  Without it
+        every request shares the single ``"*"`` class.
     ladder:
         Optional :class:`~repro.tenant.deadline.PlanLadder`.  Before each
         session-mode batch executes, the ladder is consulted with the
@@ -270,33 +281,16 @@ class SmolServer:
             raise ServingError(
                 "the deadline ladder applies to session-backed servers"
             )
-        if tenants is not None:
-            # Multi-tenant mode: one DRR scheduler plays both queue and
-            # batcher (its surface matches each), so the serving loop and
-            # close path below run unchanged.
-            from repro.tenant.quota import QuotaGate
-            from repro.tenant.scheduler import DrrScheduler
-
-            self._gate = QuotaGate(tenants)
-            scheduler = DrrScheduler(
-                tenants.classes, self._policy, capacity=queue_capacity,
-                obs=self._obs, faults=self._faults,
-            )
-            self._queue = scheduler
-            self._batcher = scheduler
-            self._class_latency = {c.name: LatencyRecorder()
-                                   for c in tenants.classes}
-            self._class_served = {c.name: 0 for c in tenants.classes}
-        else:
-            self._gate = None
-            self._class_latency = {}
-            self._class_served = {}
-            self._queue: AdmissionQueue[_Pending] = AdmissionQueue(
-                queue_capacity, obs=self._obs, faults=self._faults
-            )
-            self._batcher: MicroBatcher[_Pending] = MicroBatcher(
-                self._queue, self._policy, obs=self._obs, faults=self._faults
-            )
+        classes = (_SINGLE_CLASS,) if tenants is None else tenants.classes
+        self._gate = QuotaGate(tenants) if tenants is not None else None
+        self._scheduler: DrrScheduler[_Pending] = DrrScheduler(
+            classes, self._policy, capacity=queue_capacity,
+            obs=self._obs, faults=self._faults,
+        )
+        # Per-class books are kept (and reported) for tenant servers only.
+        self._class_latency = ({} if tenants is None else
+                               {c.name: LatencyRecorder() for c in classes})
+        self._class_served = {name: 0 for name in self._class_latency}
         self._latency_metric = self._obs.histogram("serving_latency_seconds")
         self._completed_metric = self._obs.counter("serving_completed_total")
         self._cache_hits_metric = self._obs.counter("serving_cache_hits_total")
@@ -381,7 +375,7 @@ class SmolServer:
                                   format=request.format_name)
             request.trace = span.context
         tenant_name = ""
-        class_name = ""
+        class_name = _SINGLE_CLASS.name
         if self._tenants is not None:
             # Resolve the accounting identity up front so cache hits and
             # queue rejections are attributed too.  Unknown tenants share
@@ -417,7 +411,7 @@ class SmolServer:
                 # release at resolution, failure, or cancellation.
                 self._gate.admit(tenant_name)
                 gated = True
-            self._queue.admit(
+            self._scheduler.admit(
                 _Pending(request, future, span, tenant=tenant_name,
                          class_name=class_name, gated=gated),
                 block=should_block)
@@ -543,14 +537,13 @@ class SmolServer:
             completed=completed,
             executed=executed,
             cache_hits=cache_hits,
-            rejected=self._queue.stats()["rejected"],
+            rejected=self._scheduler.stats()["rejected"],
             cancelled=cancelled,
             deadline_missed=deadline_missed,
             errors=errors,
             plan_swaps=self._sessions.swaps if self._sessions else 0,
             latency=self._latency.summary(),
-            batcher=(self._batcher.batch_stats() if self._tenants is not None
-                     else self._batcher.stats()),
+            batcher=self._scheduler.batch_stats(),
             cache=self._cache.stats() if self._cache is not None else None,
             queries=queries,
             tenants=self.tenant_stats(),
@@ -580,7 +573,7 @@ class SmolServer:
         if self._closed:
             return
         self._closed = True
-        self._queue.close()
+        self._scheduler.close()
         self._worker.join(timeout=timeout)
         if self._worker.is_alive():
             raise ServingError("serving thread did not drain in time")
@@ -604,14 +597,12 @@ class SmolServer:
     def _serve_loop(self) -> None:
         while True:
             try:
-                batch = self._batcher.next_batch()
-            except QueueClosed:  # pragma: no cover - next_batch returns None
-                return
+                batch = self._scheduler.next_batch()
             except Exception:
                 # An injected (or organic) failure forming a batch must not
                 # take the serving thread down -- no request was dequeued
-                # (the ``serving.batch`` seam fires before the first get),
-                # so retrying loses nothing.
+                # (the ``serving.batch`` seam fires before the first
+                # dequeue), so retrying loses nothing.
                 self._obs.note("serving.batcher_failed")
                 continue
             if batch is None:
@@ -620,7 +611,7 @@ class SmolServer:
                 continue
             self._execute_batch(batch)
 
-    def _execute_batch(self, batch: list[_Pending]) -> None:
+    def _execute_batch(self, batch: ClassBatch) -> None:
         # Transition every future to RUNNING first: once running, a client
         # cancel() can no longer win the race against set_result below.
         live = []
@@ -636,7 +627,7 @@ class SmolServer:
                 self._cancelled += dropped
         if not live:
             return
-        batch_class = getattr(batch, "class_name", "")
+        batch_class = batch.class_name
         batch = live
         if self._cluster is not None:
             self._dispatch_to_cluster(batch)
@@ -656,8 +647,10 @@ class SmolServer:
             # collector bug must not take the serving loop (and every
             # pending future) down with it.  Tenant batches report under a
             # per-class source so the adaptive layer sees each class's
-            # cost stream separately.
-            source = f"serving/{batch_class}" if batch_class else "serving"
+            # cost stream separately; a single-tenant server's one class
+            # reports as plain "serving".
+            source = ("serving" if self._tenants is None
+                      else f"serving/{batch_class}")
             try:
                 self._telemetry.record_session_batch(session, result,
                                                      source=source)

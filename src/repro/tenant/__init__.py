@@ -8,7 +8,8 @@ The package layers four mechanisms onto the single-tenant server:
 * :mod:`repro.tenant.quota` -- per-tenant token-bucket rate limits and
   in-flight caps at admission (:class:`QuotaGate`);
 * :mod:`repro.tenant.scheduler` -- deficit-round-robin micro-batching
-  over per-class queues, replacing the FIFO path (:class:`DrrScheduler`);
+  over per-class queues (:class:`DrrScheduler`), every server's one
+  admission path (a single-tenant server schedules one class, ``"*"``);
 * :mod:`repro.tenant.deadline` -- a pre-warmed ladder of plan renditions
   consulted when a batch's deadline budget can't afford the current plan
   (:class:`PlanLadder`);

@@ -1,13 +1,15 @@
 """Deficit-round-robin micro-batch scheduling over per-class queues.
 
-Replaces the single FIFO admission path for multi-tenant servers: one
-bounded queue per priority class, drained by a deficit-round-robin (DRR)
-scan.  Each class holds a *deficit* counter; when the scan reaches a
-backlogged class it adds the class's *quantum* (proportional to its
-weight, normalized so the heaviest class earns one full micro-batch per
-round) and serves up to ``floor(deficit)`` requests, carrying any
-fraction to the class's next turn.  A class's deficit resets when its
-queue empties, so idle classes cannot bank credit.
+The one admission + batching path of :class:`~repro.serving.server.SmolServer`:
+one bounded queue per priority class, drained by a deficit-round-robin
+(DRR) scan.  A single-tenant server runs it with one class (``"*"``),
+where it reduces to a bounded FIFO queue feeding a wait-bounded
+micro-batcher.  Each class holds a *deficit* counter; when the scan
+reaches a backlogged class it adds the class's *quantum* (proportional
+to its weight, normalized so the heaviest class earns one full
+micro-batch per round) and serves up to ``floor(deficit)`` requests,
+carrying any fraction to the class's next turn.  A class's deficit
+resets when its queue empties, so idle classes cannot bank credit.
 
 Two properties the test net enforces fall straight out of the
 arithmetic:
@@ -20,20 +22,16 @@ arithmetic:
   class's served count stays within one micro-batch of its weighted
   share.
 
-The scheduler presents the same surface the server's classic
-queue+batcher pair does (``admit`` / ``next_batch`` / ``close`` /
-``stats``), so :class:`~repro.serving.server.SmolServer` swaps it in
-without touching the serving loop.  Two chaos seams mirror the classic
-path's: ``tenant.enqueue`` fires on the submitter's thread before an
-item enters its class queue, and ``tenant.batch`` at the top of every
-``next_batch`` attempt before anything is dequeued.
+Two chaos seams: ``serving.admit`` fires on the submitter's thread
+before an item enters its class queue, and ``serving.batch`` at the top
+of every ``next_batch`` attempt before anything is dequeued.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Generic, Sequence, TypeVar
+from typing import Generic, Sequence, TypeVar
 
 from repro.chaos.faults import NULL_FAULTS
 from repro.errors import AdmissionError, TenantError
@@ -51,8 +49,7 @@ __all__ = ["ClassBatch", "DrrScheduler"]
 class ClassBatch(list):
     """A micro-batch tagged with the priority class it was drawn from.
 
-    A plain ``list`` subclass so every consumer of the classic batcher's
-    batches (the serving loop, session execution) handles it unchanged;
+    A plain ``list`` subclass so session execution takes it unchanged;
     the ``class_name`` attribute rides along for per-class telemetry and
     deadline-aware plan selection.
     """
@@ -79,7 +76,7 @@ class _ClassState(Generic[T]):
 
 
 class DrrScheduler(Generic[T]):
-    """Weighted-fair (deficit round-robin) replacement for the FIFO path.
+    """Weighted-fair (deficit round-robin) admission queue + micro-batcher.
 
     Parameters
     ----------
@@ -92,25 +89,22 @@ class DrrScheduler(Generic[T]):
         waiting never idles past available work).
     capacity:
         Bound on queued items per class (backpressure depth).
-    class_of:
-        Maps an admitted item to its class name; defaults to reading the
-        item's ``class_name`` attribute.
     obs / faults:
-        Observability + chaos seams (``tenant.enqueue`` /
-        ``tenant.batch``).
+        Observability (the ``serving_*`` admission and batch instruments)
+        + chaos seams (``serving.admit`` / ``serving.batch``).
+
+    An admitted item names its class by its ``class_name`` attribute.
     """
 
     def __init__(self, classes: Sequence[ClassPolicy], policy: BatchPolicy,
-                 capacity: int = 256,
-                 class_of: Callable[[T], str] | None = None,
-                 obs=NULL_OBS, faults=NULL_FAULTS) -> None:
+                 capacity: int = 256, obs=NULL_OBS,
+                 faults=NULL_FAULTS) -> None:
         if not classes:
             raise TenantError("DrrScheduler needs at least one class")
         if capacity < 1:
             raise TenantError("capacity must be at least 1")
         self._policy = policy
         self._capacity = capacity
-        self._class_of = class_of or (lambda item: item.class_name)
         self._faults = faults if faults is not None else NULL_FAULTS
         ordered = sorted(classes, key=lambda c: (c.rank, c.name))
         max_weight = max(c.weight for c in ordered)
@@ -127,47 +121,39 @@ class DrrScheduler(Generic[T]):
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._closed = False
+        self._admitted = 0
+        self._rejected = 0
         self._stats = BatcherStats()
-        self._depth_metric = obs.gauge("tenant_queue_depth")
-        self._batches_metric = obs.counter("tenant_batches_total",
+        self._admitted_metric = obs.counter("serving_admitted_total")
+        self._rejected_metric = obs.counter("serving_rejected_total")
+        self._depth_metric = obs.gauge("serving_queue_depth")
+        self._batches_metric = obs.counter("serving_batches_total",
                                            policy=policy.name)
+        self._size_metric = obs.histogram("serving_batch_size",
+                                          policy=policy.name)
 
     # ------------------------------------------------------------------
-    # Producer side (AdmissionQueue-compatible)
+    # Producer side
     # ------------------------------------------------------------------
-    @property
-    def policy(self) -> BatchPolicy:
-        """The active micro-batching policy."""
-        return self._policy
-
-    @property
-    def capacity(self) -> int:
-        """Per-class bound on queued items."""
-        return self._capacity
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has been called."""
-        return self._closed
-
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(s.queue) for s in self._states.values())
+            return self._depth()
 
     def admit(self, item: T, block: bool = True,
               timeout: float | None = None) -> None:
         """Enqueue ``item`` on its class queue, applying backpressure.
 
-        Mirrors :meth:`~repro.serving.queue.AdmissionQueue.admit`: a full
-        class queue blocks the caller (``block=True``) or raises
-        :class:`AdmissionError` (``block=False``); :class:`QueueClosed`
-        propagates once the scheduler is closed.
+        A full class queue blocks the caller (``block=True``, up to
+        ``timeout`` seconds) or raises :class:`AdmissionError`
+        (``block=False``); a blocked admit that times out is a rejection
+        too.  :class:`QueueClosed` propagates once the scheduler is
+        closed.
         """
-        name = self._class_of(item)
+        name = item.class_name
         # Chaos seam: before the enqueue, so a raise is a clean shed (the
         # item never entered a queue) and a stall backpressures the
-        # submitting thread -- same contract as ``serving.admit``.
-        self._faults.hit("tenant.enqueue", scheduler=self, class_name=name)
+        # submitting thread.
+        self._faults.hit("serving.admit", scheduler=self, class_name=name)
         deadline = None if timeout is None else monotonic() + timeout
         with self._cond:
             state = self._states.get(name)
@@ -179,30 +165,32 @@ class DrrScheduler(Generic[T]):
                 if len(state.queue) < self._capacity:
                     break
                 if not block:
-                    state.rejected += 1
-                    self._stats_rejected += 1
-                    raise AdmissionError(
-                        f"class {name!r} queue full "
-                        f"({self._capacity} pending)")
+                    raise self._reject(state, f"class {name!r} queue full "
+                                              f"({self._capacity} pending)")
                 remaining = None if deadline is None \
                     else deadline - monotonic()
                 if remaining is not None and remaining <= 0:
-                    state.rejected += 1
-                    self._stats_rejected += 1
-                    raise AdmissionError(
-                        f"class {name!r} admission timed out after "
-                        f"{timeout}s")
+                    raise self._reject(
+                        state, f"class {name!r} admission timed out after "
+                               f"{timeout}s")
                 self._cond.wait(remaining)
             state.queue.append(item)
             state.admitted += 1
-            self._stats_admitted += 1
-            self._depth_metric.set(
-                sum(len(s.queue) for s in self._states.values()))
+            self._admitted += 1
+            self._depth_metric.set(self._depth())
             self._cond.notify_all()
+        self._admitted_metric.inc()
 
-    # Plain counters named to match AdmissionQueue.stats() keys.
-    _stats_admitted = 0
-    _stats_rejected = 0
+    def _reject(self, state: _ClassState[T], message: str) -> AdmissionError:
+        """Count one shed admission (lock held) and build its error."""
+        state.rejected += 1
+        self._rejected += 1
+        self._rejected_metric.inc()
+        return AdmissionError(message)
+
+    def _depth(self) -> int:
+        """Items queued across every class (lock held)."""
+        return sum(len(s.queue) for s in self._states.values())
 
     def close(self) -> None:
         """Stop admissions; :meth:`next_batch` drains what remains."""
@@ -211,7 +199,7 @@ class DrrScheduler(Generic[T]):
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    # Consumer side (MicroBatcher-compatible)
+    # Consumer side
     # ------------------------------------------------------------------
     def next_batch(self, poll_timeout: float = 0.1) -> ClassBatch | None:
         """Form the next micro-batch by deficit round-robin.
@@ -222,7 +210,7 @@ class DrrScheduler(Generic[T]):
         """
         # Chaos seam: before any dequeue, so an injected raise aborts the
         # attempt with no request in hand (the serving loop retries).
-        self._faults.hit("tenant.batch", scheduler=self)
+        self._faults.hit("serving.batch", scheduler=self)
         with self._cond:
             deadline = monotonic() + poll_timeout
             while True:
@@ -251,6 +239,7 @@ class DrrScheduler(Generic[T]):
                 state.deficit = 0.0
             state.served += len(batch)
             self._record(batch)
+            self._depth_metric.set(self._depth())
             self._cond.notify_all()
             return ClassBatch(name, batch)
 
@@ -293,6 +282,7 @@ class DrrScheduler(Generic[T]):
         return extras
 
     def _record(self, batch: list[T]) -> None:
+        """Count one formed batch (lock held); a short one timed out."""
         self._stats.batches += 1
         self._stats.items += len(batch)
         if len(batch) == self._policy.max_batch_size:
@@ -303,12 +293,13 @@ class DrrScheduler(Generic[T]):
         self._stats.size_histogram[size] = (
             self._stats.size_histogram.get(size, 0) + 1)
         self._batches_metric.inc()
+        self._size_metric.observe(size)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def batch_stats(self) -> BatcherStats:
-        """Micro-batch counters (the classic batcher's shape)."""
+        """Snapshot of the micro-batch counters."""
         with self._lock:
             return BatcherStats(
                 batches=self._stats.batches,
@@ -319,15 +310,11 @@ class DrrScheduler(Generic[T]):
             )
 
     def stats(self) -> dict:
-        """Admission counters plus per-class DRR state.
-
-        Key-compatible with :meth:`AdmissionQueue.stats` (``admitted`` /
-        ``rejected``) so the server's scorecard code reads either.
-        """
+        """Admission counters plus per-class DRR state."""
         with self._lock:
             return {
-                "admitted": self._stats_admitted,
-                "rejected": self._stats_rejected,
+                "admitted": self._admitted,
+                "rejected": self._rejected,
                 "classes": {
                     name: {
                         "depth": len(state.queue),

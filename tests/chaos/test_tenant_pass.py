@@ -1,5 +1,7 @@
 """Tests for the chaos tenant pass and its scenario dimensions."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import ChaosRunner, Scenario, ScenarioGen
@@ -45,15 +47,22 @@ class TestScenarioDimensions:
             assert all(0 <= c <= 2 for c in scenario.tenant_classes)
 
     def test_tenant_faults_only_ride_tenant_scenarios(self):
+        # The tenant dimension draws last, so a seed's plan is its
+        # tenant-free plan plus (tenant scenarios only) appended faults at
+        # the scheduler seams.
         gen = ScenarioGen()
+        tenant_free = ScenarioGen(tenant_rate=0.0)
         for seed in range(200):
             scenario = gen.generate(seed)
-            tenant_sites = [f for f in scenario.faults.faults
-                            if f.site.startswith("tenant.")]
-            if tenant_sites:
+            base = tenant_free.generate(seed).faults.faults
+            faults = scenario.faults.faults
+            assert faults[:len(base)] == base, seed
+            extra = faults[len(base):]
+            if extra:
                 assert scenario.tenant_serving, seed
-                for fault in tenant_sites:
-                    assert fault.action in ("raise", "stall"), seed
+            for fault in extra:
+                assert fault.site in ("serving.admit", "serving.batch"), seed
+                assert fault.action in ("raise", "stall"), seed
 
 
 class TestTenantPassRuns:
@@ -69,15 +78,25 @@ class TestTenantPassRuns:
 
     def test_enqueue_raise_is_a_clean_shed_then_resubmitted(self):
         report = ChaosRunner().run(tenant_scenario(
-            faults=[Fault(site="tenant.enqueue", action="raise")]))
+            faults=[Fault(site="serving.admit", action="raise")]))
         assert report.ok, report.describe()
-        assert any(f["site"] == "tenant.enqueue" for f in report.fired)
+        assert any(f["site"] == "serving.admit" for f in report.fired)
         assert report.stats["tenant"]["completed"] == 8
+
+    def test_tenant_pass_gets_its_own_fault_hits(self):
+        # The single-tenant serving pass hits the same seams first; the
+        # planned hit must still fire again inside the tenant pass.
+        scenario = replace(tenant_scenario(
+            faults=[Fault(site="serving.admit", action="raise")]),
+            serving=True)
+        report = ChaosRunner().run(scenario)
+        assert report.ok, report.describe()
+        assert [f["site"] for f in report.fired] == ["serving.admit"] * 2
 
     def test_batch_raise_and_stall_are_absorbed(self):
         report = ChaosRunner().run(tenant_scenario(
-            faults=[Fault(site="tenant.batch", action="raise", at_hit=1),
-                    Fault(site="tenant.batch", action="stall",
+            faults=[Fault(site="serving.batch", action="raise", at_hit=1),
+                    Fault(site="serving.batch", action="stall",
                           at_hit=2, seconds=0.002)]))
         assert report.ok, report.describe()
 

@@ -1,10 +1,9 @@
-"""Tests for the adaptive micro-batcher."""
+"""Tests for the micro-batching policy."""
 
 import pytest
 
 from repro.errors import ServingError
-from repro.serving.batcher import BatchPolicy, MicroBatcher
-from repro.serving.queue import AdmissionQueue
+from repro.serving.batcher import BatchPolicy
 
 
 class TestBatchPolicy:
@@ -19,51 +18,3 @@ class TestBatchPolicy:
             BatchPolicy(name="bad", max_batch_size=0, max_wait_ms=1.0)
         with pytest.raises(ServingError):
             BatchPolicy(name="bad", max_batch_size=4, max_wait_ms=-1.0)
-
-
-class TestMicroBatcher:
-    def test_full_batch_when_queue_is_deep(self):
-        queue = AdmissionQueue(capacity=16)
-        for index in range(10):
-            queue.admit(index)
-        batcher = MicroBatcher(queue, BatchPolicy(name="t", max_batch_size=4,
-                                                  max_wait_ms=50.0))
-        assert batcher.next_batch() == [0, 1, 2, 3]
-        assert batcher.next_batch() == [4, 5, 6, 7]
-
-    def test_wait_bound_closes_partial_batch(self):
-        queue = AdmissionQueue(capacity=16)
-        queue.admit("only")
-        batcher = MicroBatcher(queue, BatchPolicy(name="t", max_batch_size=64,
-                                                  max_wait_ms=5.0))
-        assert batcher.next_batch() == ["only"]
-        stats = batcher.stats()
-        assert stats.timeout_batches == 1 and stats.full_batches == 0
-
-    def test_none_once_closed_and_drained(self):
-        queue = AdmissionQueue(capacity=4)
-        queue.admit("a")
-        queue.close()
-        batcher = MicroBatcher(queue, BatchPolicy(name="t", max_batch_size=2,
-                                                  max_wait_ms=1.0))
-        assert batcher.next_batch() == ["a"]
-        assert batcher.next_batch() is None
-
-    def test_empty_poll_returns_empty_list(self):
-        queue = AdmissionQueue(capacity=4)
-        batcher = MicroBatcher(queue, BatchPolicy(name="t", max_batch_size=2,
-                                                  max_wait_ms=1.0))
-        assert batcher.next_batch(poll_timeout=0.02) == []
-
-    def test_stats_track_sizes(self):
-        queue = AdmissionQueue(capacity=16)
-        for index in range(5):
-            queue.admit(index)
-        batcher = MicroBatcher(queue, BatchPolicy(name="t", max_batch_size=4,
-                                                  max_wait_ms=2.0))
-        batcher.next_batch()
-        batcher.next_batch()
-        stats = batcher.stats()
-        assert stats.batches == 2 and stats.items == 5
-        assert stats.size_histogram == {4: 1, 1: 1}
-        assert stats.mean_batch_size == pytest.approx(2.5)

@@ -8,6 +8,7 @@ from repro.errors import AdmissionError, ServingError
 from repro.inference.engine import SmolRuntimeEngine
 from repro.inference.perfmodel import EngineConfig
 from repro.nn.model import build_mini_resnet
+from repro.obs import Observability
 from repro.preprocessing.dag import PreprocessingDAG
 from repro.serving.batcher import BatchPolicy
 from repro.serving.request import InferenceRequest
@@ -118,11 +119,12 @@ class TestServerBehavior:
 
     def test_load_shedding_at_capacity(self, image_pool):
         session = build_functional_session()
+        obs = Observability()
         with SmolServer(session, policy=BatchPolicy(name="tiny",
                                                     max_batch_size=4,
                                                     max_wait_ms=0.0),
                         queue_capacity=2, cache_capacity=0,
-                        block_on_full=False) as server:
+                        block_on_full=False, obs=obs) as server:
             rejected = 0
             futures = []
             for index in range(60):
@@ -139,6 +141,9 @@ class TestServerBehavior:
         assert rejected > 0
         assert stats.rejected == rejected
         assert stats.completed == 60 - rejected
+        # The exported admission counters agree with stats().
+        assert obs.counter("serving_rejected_total").value == stats.rejected
+        assert obs.counter("serving_admitted_total").value == stats.completed
 
     def test_cancelled_future_does_not_kill_serving_thread(self, image_pool):
         session = build_functional_session()

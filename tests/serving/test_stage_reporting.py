@@ -81,8 +81,13 @@ class TestServerTelemetryWiring:
         counters = telemetry.counters()
         assert counters.images == 10
         assert counters.modelled_seconds > 0
-        stages = {obs.stage for obs in telemetry.drain()}
-        assert stages == {"decode", "preprocess", "inference"}
+        observations = telemetry.drain()
+        assert {obs.stage for obs in observations} == {
+            "decode", "preprocess", "inference"}
+        # A single-tenant server's one scheduling class reports as plain
+        # "serving" (not "serving/*"), so the adaptive loop reads one
+        # cost stream.
+        assert all(obs.source == "serving" for obs in observations)
 
     def test_collector_bugs_never_fail_requests(self, perf, engine_config,
                                                 plan):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import AdmissionError, TenantError
 from repro.inference.mpmc import QueueClosed
+from repro.obs import Observability
 from repro.serving.batcher import BatchPolicy
 from repro.tenant import ClassPolicy, DrrScheduler
 from repro.tenant.scheduler import ClassBatch
@@ -181,6 +182,23 @@ class TestStats:
         assert stats["classes"]["interactive"]["served"] == 3
         assert stats["classes"]["batch"]["served"] == 2
 
+    def test_exports_the_serving_instruments(self):
+        obs = Observability()
+        scheduler = DrrScheduler(THREE_CLASSES, BatchPolicy(
+            name="drr-test", max_batch_size=8, max_wait_ms=0.0),
+            capacity=1, obs=obs)
+        preload(scheduler, {"interactive": 1, "batch": 1})
+        with pytest.raises(AdmissionError):
+            scheduler.admit(Item("batch", 1), block=False)
+        drain(scheduler)
+        assert obs.metrics.snapshot() == {
+            "serving_admitted_total": 2.0,
+            "serving_rejected_total": 1.0,
+            "serving_queue_depth": 0.0,
+            "serving_batches_total{policy=drr-test}": 2.0,
+            "serving_batch_size{policy=drr-test}": 2.0,
+        }
+
     def test_batch_stats_match_the_classic_batcher_shape(self):
         # The heaviest class's quantum equals the batch size, so the
         # 3-item backlog drains as one full batch plus a remainder.
@@ -192,3 +210,42 @@ class TestStats:
         assert stats.batches == 2
         assert stats.full_batches == 1
         assert stats.size_histogram == {2: 1, 1: 1}
+
+
+class TestSingleClass:
+    """The one-class ``"*"`` configuration every single-tenant server runs."""
+
+    def make(self, max_batch, max_wait_ms):
+        return make_scheduler(max_batch=max_batch, max_wait_ms=max_wait_ms,
+                              classes=(ClassPolicy("*", weight=1.0,
+                                                   rank=0),))
+
+    def test_deep_queue_yields_full_batches_in_fifo_order(self):
+        scheduler = self.make(max_batch=4, max_wait_ms=50.0)
+        preload(scheduler, {"*": 10})
+        assert [item.index for item in scheduler.next_batch()] == [0, 1, 2, 3]
+        assert [item.index for item in scheduler.next_batch()] == [4, 5, 6, 7]
+
+    def test_wait_bound_closes_partial_batch_as_timeout(self):
+        scheduler = self.make(max_batch=64, max_wait_ms=5.0)
+        preload(scheduler, {"*": 1})
+        assert len(scheduler.next_batch()) == 1
+        stats = scheduler.batch_stats()
+        assert stats.timeout_batches == 1 and stats.full_batches == 0
+
+    def test_none_once_closed_and_drained(self):
+        scheduler = self.make(max_batch=2, max_wait_ms=1.0)
+        preload(scheduler, {"*": 1})
+        scheduler.close()
+        assert len(scheduler.next_batch()) == 1
+        assert scheduler.next_batch() is None
+
+    def test_stats_track_sizes(self):
+        scheduler = self.make(max_batch=4, max_wait_ms=2.0)
+        preload(scheduler, {"*": 5})
+        scheduler.next_batch()
+        scheduler.next_batch()
+        stats = scheduler.batch_stats()
+        assert stats.batches == 2 and stats.items == 5
+        assert stats.size_histogram == {4: 1, 1: 1}
+        assert stats.mean_batch_size == pytest.approx(2.5)
